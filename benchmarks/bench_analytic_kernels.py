@@ -3,7 +3,9 @@
 Three speedup measurements, every one gated on *bitwise identical*
 output — the vectorized kernels are resequenced, not renumbered:
 
-- **Enumeration** — the chunked bit-unpacked kernel vs the retained
+- **Enumeration** — the chunked bit-unpacked kernel
+  (``backend="reference"``, named explicitly because the default
+  ``auto`` resolves to the regrouped collapse-DFS) vs the retained
   per-state reference on a ring(8) (2^16 up/down states), plus a chunk
   sweep at 2^18 and a single 2^20 point showing the kernel holds its
   throughput where the reference loop would take minutes.
@@ -75,7 +77,8 @@ def test_enum_reference_2e16(benchmark, report):
 def test_enum_vectorized_2e16(benchmark, report):
     def run():
         with density_cache.disabled():
-            return enumerate_density_matrix(ENUM_TOPO, ENUM_P, ENUM_R)
+            return enumerate_density_matrix(ENUM_TOPO, ENUM_P, ENUM_R,
+                                            backend="reference")
 
     matrix = timed(benchmark, run)
     _STATE["enum_vec_mean"] = benchmark.stats.stats.mean
@@ -90,7 +93,8 @@ def test_enum_chunk_sweep_2e18(benchmark, report):
         with density_cache.disabled():
             return {
                 chunk: enumerate_density_matrix(
-                    SWEEP_TOPO, ENUM_P, ENUM_R, chunk_size=chunk
+                    SWEEP_TOPO, ENUM_P, ENUM_R, chunk_size=chunk,
+                    backend="reference",
                 )
                 for chunk in (2_048, 8_192, 32_768)
             }
@@ -107,7 +111,8 @@ def test_enum_chunk_sweep_2e18(benchmark, report):
 def test_enum_vectorized_2e20(benchmark, report):
     def run():
         with density_cache.disabled():
-            return enumerate_density_matrix(BIG_TOPO, ENUM_P, ENUM_R)
+            return enumerate_density_matrix(BIG_TOPO, ENUM_P, ENUM_R,
+                                            backend="reference")
 
     timed(benchmark, run)
     _STATE["enum_big_mean"] = benchmark.stats.stats.mean

@@ -1,10 +1,8 @@
-"""ENUM-COMP: the compiled/vectorized enumeration backends (DESIGN.md §15).
+"""ENUM-COMP: the vectorized enumeration backend (DESIGN.md §15).
 
-The previous enumeration kernel (PR 4's chunked bit-unpack + scipy
-csgraph labelling, now ``backend="reference"``) tops out around 2^20
-states. The backend layer added in PR 10 routes ``auto`` to the numba
-union-find kernel when the ``[compiled]`` extra is installed and to the
-dependency-free collapse-DFS otherwise; both raise the exact-density
+The chunked bit-unpack + scipy csgraph kernel (``backend="reference"``)
+tops out around 2^20 states. ``auto`` routes to the dependency-free
+collapse-DFS (``backend="vectorized"``), which raises the exact-density
 ceiling to 2^28 states. Four measurements:
 
 - **2^20 head-to-head** — reference kernel vs the auto backend on
@@ -18,8 +16,8 @@ ceiling to 2^28 states. Four measurements:
   labellers; the per-cap means land in the summary JSON.
 
 Every timed callable runs with the density cache disabled, and the
-2^20 auto result is checked against the reference matrix (<=1e-12 for
-the regrouped vectorized path, bitwise when numba is active).
+2^20 auto result is checked against the reference matrix (<=1e-12: the
+vectorized path regroups the accumulation).
 """
 
 import sys
@@ -27,13 +25,11 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from conftest import _BENCH_JSON, timed
 from repro.analytic import cache as density_cache
-from repro.analytic import compiled
 from repro.analytic.enumeration import (
     DEFAULT_CHUNK_SIZE,
     enumerate_density_matrix,
@@ -73,17 +69,13 @@ def test_enum_auto_2e20(benchmark, report):
     matrix = timed(benchmark, lambda: _density(HEAD_TO_HEAD))
     _STATE["auto_mean"] = benchmark.stats.stats.mean
     backend = resolve_backend(None)
-    if backend == "compiled":
-        np.testing.assert_array_equal(matrix, _STATE["ref_matrix"])
-        agreement = "bitwise identical to reference"
-    else:
-        delta = float(np.abs(matrix - _STATE["ref_matrix"]).max())
-        assert delta <= 1e-12, f"vectorized drifted {delta:g} from reference"
-        _STATE["auto_maxdiff"] = delta
-        agreement = f"max |delta| vs reference {delta:.2e}"
+    delta = float(np.abs(matrix - _STATE["ref_matrix"]).max())
+    assert delta <= 1e-12, f"vectorized drifted {delta:g} from reference"
+    _STATE["auto_maxdiff"] = delta
     _STATE["auto_backend"] = backend
     report(f"=== ENUM-COMP: auto backend ({backend}), 2^20 states ===\n"
-           f"  {agreement}, mean {benchmark.stats.stats.mean * 1e3:.0f}ms")
+           f"  max |delta| vs reference {delta:.2e}, "
+           f"mean {benchmark.stats.stats.mean * 1e3:.0f}ms")
 
 
 def test_enum_auto_2e24(benchmark, report):
@@ -132,27 +124,16 @@ def test_row_cap_sweep(report):
            f"{lines}\n  fastest cap: {best}")
 
 
-@pytest.mark.skipif(not compiled.HAVE_NUMBA,
-                    reason="numba not installed ([compiled] extra)")
-def test_enum_jit_2e20(benchmark, report):
-    matrix = timed(benchmark, lambda: _density(HEAD_TO_HEAD, backend="compiled"))
-    np.testing.assert_array_equal(matrix, _STATE["ref_matrix"])
-    report(f"=== ENUM-COMP: numba JIT backend, 2^20 states ===\n"
-           f"  bitwise identical to reference, "
-           f"mean {benchmark.stats.stats.mean * 1e3:.0f}ms")
-
-
 def test_enum_compiled_summary(report):
     speedup = _STATE["ref_mean"] / _STATE["auto_mean"]
     _BENCH_JSON.setdefault("enum_compiled", []).append({
         "test": "enum_compiled_summary",
         "backend": _STATE["auto_backend"],
-        "jit_available": compiled.jit_available(),
         "speedup_2e20": round(speedup, 3),
         "auto_2e20_mean_s": round(_STATE["auto_mean"], 4),
         "auto_2e24_mean_s": round(_STATE["big_mean"], 4),
         "auto_2e28_mean_s": round(_STATE["ceiling_mean"], 4),
-        "auto_2e20_maxdiff": _STATE.get("auto_maxdiff", 0.0),
+        "auto_2e20_maxdiff": _STATE["auto_maxdiff"],
         "row_cap_sweep_2e20_s": {
             str(cap): round(elapsed, 4)
             for cap, elapsed in _STATE["row_cap_sweep"].items()
@@ -162,8 +143,7 @@ def test_enum_compiled_summary(report):
     })
     report(
         "=== ENUM-COMP: summary ===\n"
-        f"  backend                  : {_STATE['auto_backend']}"
-        f" (jit_available={compiled.jit_available()})\n"
+        f"  backend                  : {_STATE['auto_backend']}\n"
         f"  speedup vs reference 2^20: {speedup:.1f}x\n"
         f"  2^24 wall-clock          : {_STATE['big_mean']:.3f}s\n"
         f"  2^28 wall-clock          : {_STATE['ceiling_mean']:.3f}s\n"
@@ -171,7 +151,7 @@ def test_enum_compiled_summary(report):
         f" (default {DEFAULT_CHUNK_SIZE})"
     )
     # Acceptance floors from the PR: >=5x at 2^20, 2^24 under a minute.
-    assert speedup >= 5.0, f"compiled backend only {speedup:.1f}x at 2^20"
+    assert speedup >= 5.0, f"vectorized backend only {speedup:.1f}x at 2^20"
     assert _STATE["big_mean"] < 60.0, (
         f"2^24 full matrix took {_STATE['big_mean']:.1f}s"
     )

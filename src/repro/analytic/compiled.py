@@ -1,46 +1,26 @@
-"""Compiled and dependency-free fast backends for exact enumeration.
+"""The collapse-DFS fast backend for exact enumeration.
 
 The reference enumeration kernel (:mod:`repro.analytic.enumeration`)
-spends ~70% of its time labelling components: every chunk builds a
-block-diagonal CSR matrix and calls scipy's ``connected_components``
-(`repro profile enumeration` attributes this to ``enum.label``). This
-module provides two replacements behind the ``backend=`` /
-``REPRO_ENUM_BACKEND`` selection layer:
+treats the ``2^m`` up/down states independently and spends most of its
+time labelling components (``repro profile enumeration`` attributes
+this to ``enum.label``). :func:`enumerate_vectorized` — the
+``vectorized`` backend — is a dependency-free numpy kernel that exploits
+enumeration structure instead. It walks the fallible components in
+column order, maintaining a growing array of per-partial-state
+component-label rows and their probabilities; a link column only
+doubles the rows where the link actually joins two distinct live
+components — for every other row the link's probability marginal is
+exactly ``r + (1 - r) = 1`` and both branches *collapse* into one.
+Ring-like topologies collapse from ``2^28`` states to under a million
+leaf rows, which is where the measured two-orders-of-magnitude speedup
+comes from. Accumulation is regrouped, not resequenced, so results match
+the reference to float round-off (≤1e-12 differential tier, DESIGN.md
+§15), not bitwise. Memory is bounded by a row cap derived from
+``chunk_size``; when a branch would exceed it, half the rows are pushed
+on an explicit DFS stack and expanded later.
 
-``compiled`` — :func:`enumerate_compiled`
-    A per-chunk kernel written in numba-compilable style: unpack the
-    state bits, run a flat-array union-find (path halving + union by
-    size) over the topology's fixed edge list, accumulate per-component
-    vote totals, and scatter-add the state probability — one tight loop,
-    no sparse construction. Every floating-point operation is sequenced
-    exactly like the reference loop (probability factors in free-site
-    then free-link order, accumulation state-major then site-major), so
-    the output is **bitwise identical** to
-    ``enumerate_density_matrix_reference``. numba is *optional*: the
-    kernel body is a plain function that is wrapped with
-    ``numba.njit(cache=True)`` when numba imports
-    (:data:`HAVE_NUMBA`), and the unwrapped pure-Python twin stays
-    importable so the bitwise contract is testable without the JIT.
-
-``vectorized`` — :func:`enumerate_vectorized`
-    A dependency-free numpy kernel that exploits enumeration structure
-    instead of treating the ``2^m`` states independently. It walks the
-    fallible components in column order, maintaining a growing array of
-    per-partial-state component-label rows and their probabilities; a
-    link column only doubles the rows where the link actually joins two
-    distinct live components — for every other row the link's
-    probability marginal is exactly ``r + (1 - r) = 1`` and both
-    branches *collapse* into one. Ring-like topologies collapse from
-    ``2^28`` states to under a million leaf rows, which is where the
-    measured two-orders-of-magnitude speedup comes from. Accumulation is
-    regrouped, not resequenced, so results match the reference to float
-    round-off (≤1e-12 differential tier, DESIGN.md §15), not bitwise.
-    Memory is bounded by a row cap derived from ``chunk_size``; when a
-    branch would exceed it, half the rows are pushed on an explicit DFS
-    stack and expanded later.
-
-Both kernels attribute their time to ``enum.compiled.*`` phases through
-the current telemetry recorder so the perf-gate explainer can name them.
+The kernel attributes its time to ``enum.compiled.*`` phases through the
+current telemetry recorder so the perf-gate explainer can name them.
 """
 
 from __future__ import annotations
@@ -51,192 +31,8 @@ import numpy as np
 
 from repro.topology.model import Topology
 
-__all__ = [
-    "HAVE_NUMBA",
-    "jit_available",
-    "enumerate_compiled",
-    "enumerate_vectorized",
-]
+__all__ = ["enumerate_vectorized"]
 
-
-# ----------------------------------------------------------------------
-# The union-find chunk kernel (numba-compilable, pure-Python twin kept)
-# ----------------------------------------------------------------------
-
-def _make_chunk_kernel(decorate):
-    """Build the per-chunk union-find kernel under ``decorate``.
-
-    Called twice at import: once with the identity decorator (the
-    pure-Python twin the no-numba tests exercise bitwise) and once with
-    ``numba.njit(cache=True)`` when numba is importable. One source of
-    truth, two execution modes.
-    """
-
-    def kernel(start, stop, n_free, base_site_up, base_link_up,
-               free_sites, free_links, site_rel, link_rel,
-               u, v, votes, site, out):
-        n = base_site_up.shape[0]
-        n_free_sites = free_sites.shape[0]
-        n_edges = u.shape[0]
-        parent = np.empty(n, np.int64)
-        size = np.empty(n, np.int64)
-        comp_votes = np.empty(n, np.int64)
-        site_up = base_site_up.copy()
-        link_up = base_link_up.copy()
-        for state in range(start, stop):
-            # Bit j (j = 0 slowest-varying) mirrors the reference loop's
-            # product((False, True), repeat=n_free) enumeration order;
-            # probability factors multiply in the same order, so the
-            # products are bitwise identical.
-            prob = 1.0
-            for j in range(n_free_sites):
-                comp = free_sites[j]
-                if (state >> (n_free - 1 - j)) & 1:
-                    site_up[comp] = True
-                    prob *= site_rel[comp]
-                else:
-                    site_up[comp] = False
-                    prob *= 1.0 - site_rel[comp]
-            for j in range(free_links.shape[0]):
-                comp = free_links[j]
-                if (state >> (n_free - 1 - n_free_sites - j)) & 1:
-                    link_up[comp] = True
-                    prob *= link_rel[comp]
-                else:
-                    link_up[comp] = False
-                    prob *= 1.0 - link_rel[comp]
-            if prob == 0.0:
-                continue
-
-            for i in range(n):
-                parent[i] = i
-                size[i] = 1
-            for e in range(n_edges):
-                if link_up[e] and site_up[u[e]] and site_up[v[e]]:
-                    a = u[e]
-                    while parent[a] != a:
-                        parent[a] = parent[parent[a]]  # path halving
-                        a = parent[a]
-                    b = v[e]
-                    while parent[b] != b:
-                        parent[b] = parent[parent[b]]
-                        b = parent[b]
-                    if a != b:
-                        if size[a] < size[b]:
-                            a, b = b, a
-                        parent[b] = a  # union by size
-                        size[a] += size[b]
-
-            for i in range(n):
-                comp_votes[i] = 0
-            for i in range(n):
-                if site_up[i]:
-                    r = i
-                    while parent[r] != r:
-                        parent[r] = parent[parent[r]]
-                        r = parent[r]
-                    comp_votes[r] += votes[i]
-
-            if site < 0:
-                # Same per-site order as the reference's
-                # matrix[arange(n), totals] += prob.
-                for i in range(n):
-                    total = 0
-                    if site_up[i]:
-                        r = i
-                        while parent[r] != r:
-                            r = parent[r]
-                        total = comp_votes[r]
-                    out[i, total] += prob
-            else:
-                total = 0
-                if site_up[site]:
-                    r = site
-                    while parent[r] != r:
-                        r = parent[r]
-                    total = comp_votes[r]
-                out[0, total] += prob
-
-    return decorate(kernel)
-
-
-#: The auditable pure-Python twin (always available; slow).
-_chunk_kernel_py = _make_chunk_kernel(lambda fn: fn)
-
-try:  # pragma: no cover - exercised only where numba is installed
-    from numba import njit as _njit
-
-    _chunk_kernel_jit = _make_chunk_kernel(_njit(cache=True))
-    HAVE_NUMBA = True
-except ImportError:
-    _chunk_kernel_jit = None
-    HAVE_NUMBA = False
-
-
-def jit_available() -> bool:
-    """True when numba imported and the JIT kernel is ready to use."""
-    return HAVE_NUMBA
-
-
-def enumerate_compiled(
-    topology: Topology,
-    site_rel: np.ndarray,
-    link_rel: np.ndarray,
-    free_sites: np.ndarray,
-    free_links: np.ndarray,
-    n_free: int,
-    *,
-    chunk_size: int,
-    site: Optional[int],
-    use_jit: Optional[bool] = None,
-) -> np.ndarray:
-    """Run the union-find chunk kernel over all ``2^n_free`` states.
-
-    ``use_jit=None`` picks the JIT build when numba is available and the
-    pure-Python twin otherwise; tests pass ``use_jit=False`` explicitly
-    to pin the twin. Output is bitwise identical to the reference loop
-    for every ``chunk_size`` (the kernel preserves its floating-point
-    operation order exactly).
-    """
-    from repro.telemetry.recorder import current as _current_recorder
-
-    prof = _current_recorder().phases
-    if use_jit is None:
-        use_jit = HAVE_NUMBA
-    kernel = _chunk_kernel_jit if use_jit else _chunk_kernel_py
-    if kernel is None:
-        from repro.errors import DensityError
-
-        raise DensityError(
-            "the compiled enumeration kernel needs numba "
-            "(pip install 'repro[compiled]')"
-        )
-
-    n = topology.n_sites
-    T = topology.total_votes
-    u, v = topology.link_endpoint_arrays()
-    u = np.ascontiguousarray(u, dtype=np.int64)
-    v = np.ascontiguousarray(v, dtype=np.int64)
-    votes = np.ascontiguousarray(topology.votes, dtype=np.int64)
-    base_site_up = site_rel >= 1.0
-    base_link_up = link_rel >= 1.0
-    free_sites = np.ascontiguousarray(free_sites, dtype=np.int64)
-    free_links = np.ascontiguousarray(free_links, dtype=np.int64)
-
-    out = np.zeros((n if site is None else 1, T + 1), dtype=np.float64)
-    n_states = 1 << n_free
-    for start in range(0, n_states, chunk_size):
-        stop = min(start + chunk_size, n_states)
-        with prof.phase("enum.compiled.kernel"):
-            kernel(start, stop, n_free, base_site_up, base_link_up,
-                   free_sites, free_links, site_rel, link_rel,
-                   u, v, votes, -1 if site is None else int(site), out)
-    return out if site is None else out[0]
-
-
-# ----------------------------------------------------------------------
-# The collapse-DFS vectorized kernel (dependency-free)
-# ----------------------------------------------------------------------
 
 #: Row caps below this are clamped up; the DFS needs headroom to double.
 MIN_ROW_CAP = 64

@@ -13,9 +13,8 @@ Component reliabilities may be uniform (scalars ``p``, ``r``) or per
 component (arrays), which is how the star-with-perfect-spokes encoding of
 the bus network is enumerated exactly.
 
-Four backends compute the same matrix (DESIGN.md §10 and §15), selected
-with the ``backend=`` kwarg or the ``REPRO_ENUM_BACKEND`` environment
-variable (``auto`` | ``compiled`` | ``vectorized`` | ``reference``):
+Two kernels compute the same matrix (DESIGN.md §10 and §15), selected
+with the ``backend=`` kwarg (``auto`` | ``vectorized`` | ``reference``):
 
 ``reference`` (kernel)
     the chunked scipy kernel — generates up/down states in chunks of
@@ -27,12 +26,6 @@ variable (``auto`` | ``compiled`` | ``vectorized`` | ``reference``):
     Every floating-point operation is sequenced exactly like the
     reference loop, so the output is **bitwise identical** to it.
 
-``compiled``
-    the numba ``@njit(cache=True)`` union-find chunk kernel
-    (:func:`repro.analytic.compiled.enumerate_compiled`) — same
-    floating-point operation order as the reference loop, therefore also
-    bitwise identical; requires numba (``pip install 'repro[compiled]'``).
-
 ``vectorized``
     the dependency-free subset-doubling DFS with branch collapse
     (:func:`repro.analytic.compiled.enumerate_vectorized`) — regrouped
@@ -40,9 +33,9 @@ variable (``auto`` | ``compiled`` | ``vectorized`` | ``reference``):
     differential tier), two orders of magnitude faster.
 
 ``auto`` (the default)
-    ``compiled`` when numba is importable, else ``vectorized``.
+    ``vectorized``.
 
-The compiled and vectorized backends raise the safety cap from
+The vectorized backend raises the safety cap from
 :data:`MAX_COMPONENTS` (2^24 states) to :data:`MAX_COMPONENTS_COMPILED`
 (2^28).
 
@@ -53,7 +46,6 @@ against.
 
 from __future__ import annotations
 
-import os
 from itertools import product
 from typing import Optional, Sequence, Union
 
@@ -69,7 +61,6 @@ from repro.topology.model import Topology
 
 __all__ = [
     "BACKENDS",
-    "ENV_BACKEND",
     "enumerate_density",
     "enumerate_density_matrix",
     "enumerate_density_matrix_reference",
@@ -80,16 +71,12 @@ __all__ = [
 #: states) on the ``reference`` backend.
 MAX_COMPONENTS = 24
 
-#: The compiled/vectorized backends push the cap to 2^28 states
-#: (chunked and memory-bounded; see DESIGN.md §15 for the bounds).
+#: The vectorized backend pushes the cap to 2^28 states (memory-bounded;
+#: see DESIGN.md §15 for the bounds).
 MAX_COMPONENTS_COMPILED = 28
 
-#: Selectable enumeration backends (``backend=`` kwarg and the
-#: :data:`ENV_BACKEND` environment variable).
-BACKENDS = ("auto", "compiled", "vectorized", "reference")
-
-#: Environment variable naming the default backend (default ``auto``).
-ENV_BACKEND = "REPRO_ENUM_BACKEND"
+#: Selectable enumeration backends (``backend=`` kwarg).
+BACKENDS = ("auto", "vectorized", "reference")
 
 #: States unpacked and labelled per kernel chunk. Large enough that the
 #: per-chunk numpy fixed costs amortize, small enough that the chunk's
@@ -111,32 +98,16 @@ def _as_reliability_vector(value: Reliability, count: int, label: str) -> np.nda
 
 
 def resolve_backend(backend: Optional[str] = None) -> str:
-    """Resolve a backend name to ``compiled``/``vectorized``/``reference``.
+    """Resolve a backend name to ``vectorized`` or ``reference``.
 
-    ``None`` falls back to the :data:`ENV_BACKEND` environment variable,
-    then ``auto``. ``auto`` picks ``compiled`` when numba is importable
-    and the dependency-free ``vectorized`` kernel otherwise; an explicit
-    ``compiled`` request without numba is an error naming the remedy.
+    ``None`` and ``auto`` both pick the ``vectorized`` kernel.
     """
-    name = backend if backend is not None else os.environ.get(ENV_BACKEND) or "auto"
+    name = backend if backend is not None else "auto"
     if name not in BACKENDS:
         raise DensityError(
-            f"unknown enumeration backend {name!r}; choose from "
-            f"{BACKENDS} (backend= kwarg or {ENV_BACKEND})"
+            f"unknown enumeration backend {name!r}; choose from {BACKENDS}"
         )
-    if name in ("auto", "compiled"):
-        from repro.analytic import compiled
-
-        if name == "auto":
-            return "compiled" if compiled.jit_available() else "vectorized"
-        if not compiled.jit_available():
-            raise DensityError(
-                "the 'compiled' enumeration backend needs numba "
-                "(pip install 'repro[compiled]'); backend='vectorized' "
-                f"or {ENV_BACKEND}=vectorized selects the dependency-free "
-                "fallback"
-            )
-    return name
+    return "vectorized" if name == "auto" else name
 
 
 def _backend_cap(backend: str) -> int:
@@ -159,9 +130,8 @@ def _free_components(
     if n_free > cap:
         if backend == "reference" and n_free <= MAX_COMPONENTS_COMPILED:
             hint = (
-                f"; the 'compiled'/'vectorized' backends raise the cap to "
-                f"{MAX_COMPONENTS_COMPILED} (pass backend='vectorized' or "
-                f"set {ENV_BACKEND}=auto)"
+                f"; the 'vectorized' backend raises the cap to "
+                f"{MAX_COMPONENTS_COMPILED} (pass backend='vectorized')"
             )
         else:
             hint = "; use montecarlo_density for larger networks"
@@ -184,8 +154,7 @@ def enumerate_density_matrix(
     """Exact density matrix ``(n_sites, T+1)`` by full state enumeration.
 
     ``backend`` picks the kernel (see the module docstring; ``None``
-    defers to ``REPRO_ENUM_BACKEND``, then ``auto``). The ``reference``
-    and ``compiled`` backends are bitwise identical to
+    means ``auto``). The ``reference`` backend is bitwise identical to
     :func:`enumerate_density_matrix_reference` for every ``chunk_size``;
     ``vectorized`` regroups the accumulation and agrees to float
     round-off (its results are cached under a separate numerics tag so a
@@ -237,11 +206,6 @@ def _dispatch_kernel(
         )
     from repro.analytic import compiled
 
-    if backend == "compiled":
-        return compiled.enumerate_compiled(
-            topology, site_rel, link_rel, free_sites, free_links, n_free,
-            chunk_size=chunk_size, site=site,
-        )
     return compiled.enumerate_vectorized(
         topology, site_rel, link_rel, free_sites, free_links, n_free,
         chunk_size=chunk_size, site=site,

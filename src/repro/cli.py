@@ -740,18 +740,15 @@ def _cmd_shard(args: argparse.Namespace) -> int:
         n_batches=args.batches,
         seed=args.seed,
     )
-    stats: dict = {}
     result = run_sharded(
         config,
         engine=args.engine,
         n_workers=args.workers,
         chunk_size=args.chunk_size,
-        transport_stats=stats,
     )
 
     print(f"sharded run     : {args.family}-{args.sites}, {args.items} items "
-          f"({args.dist}), engine={args.engine}, workers={args.workers} "
-          f"[{stats.get('transport', 'serial')}]")
+          f"({args.dist}), engine={args.engine}, workers={args.workers}")
     if plan is not None:
         print(f"optimization    : {plan.optimizations_run} per-class runs "
               f"for {plan.n_items} items")
@@ -986,10 +983,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="worker processes for the simulate target; "
                          "the span-tree digest is identical for any N")
     profile.add_argument("--backend", default=None,
-                         choices=["auto", "compiled", "vectorized",
-                                  "reference"],
+                         choices=["auto", "vectorized", "reference"],
                          help="enumeration backend for the enumeration "
-                         "target (default: REPRO_ENUM_BACKEND, then auto)")
+                         "target (default: auto)")
     profile.add_argument("--top", type=int, default=10, metavar="N",
                          help="phases to print in the summary table")
     profile.set_defaults(func=_cmd_profile)

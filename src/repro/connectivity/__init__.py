@@ -6,15 +6,15 @@ quorum machinery needs from the network reduces to one vector: for each
 site, the total number of votes in its current component (a down site is
 "in a component of size zero", matching the paper's access accounting).
 
-Two interchangeable backends are provided: a pure-Python union-find
-(reference implementation, easy to audit) and a vectorized
-scipy.sparse.csgraph backend (the simulator's hot path).
+Two interchangeable backends are provided, and ``component_labels``
+dispatches between them on link count: a pure-Python union-find (faster
+on sparse networks) and a scipy.sparse.csgraph backend (faster on dense
+ones).
 """
 
 from repro.connectivity.components import (
     batched_component_entries,
     batched_component_labels,
-    batched_component_vote_totals,
     batched_vote_totals,
     component_labels,
     component_members,
@@ -30,7 +30,6 @@ __all__ = [
     "NetworkState",
     "batched_component_entries",
     "batched_component_labels",
-    "batched_component_vote_totals",
     "batched_vote_totals",
     "component_labels",
     "component_members",

@@ -8,22 +8,23 @@ treated as belonging to a component with zero votes, so the availability
 accounting naturally counts accesses submitted to down sites as denials
 (the ACC metric).
 
-Two backends compute component labels:
-
-``component_labels``
-    scipy.sparse.csgraph backend — builds the live subgraph as a CSR
-    matrix and labels components in compiled code. This is the simulator's
-    hot path (called once per failure/recovery event).
+Two backends compute component labels, and :func:`component_labels`
+dispatches between them on link count:
 
 ``components_unionfind``
-    pure-Python weighted union-find with path compression — the auditable
-    reference implementation; tests assert both backends agree on random
-    states.
+    pure-Python union-find with path halving — the faster backend on
+    sparse networks (the paper's ring topologies), where scipy's
+    sparse-construction overhead dominates.
+
+scipy.sparse.csgraph
+    builds the live subgraph as a sparse matrix and labels components in
+    compiled code — the faster backend on dense networks. Tests assert
+    both backends return identical labels on random states.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 from scipy.sparse import coo_matrix
@@ -36,11 +37,9 @@ __all__ = [
     "component_labels",
     "batched_component_labels",
     "batched_component_entries",
-    "batched_component_vote_totals",
     "batched_vote_totals",
     "components_unionfind",
     "component_vote_totals",
-    "minlabel_component_labels",
     "votes_in_component_of",
     "component_members",
     "gather_groups",
@@ -50,7 +49,10 @@ __all__ = [
 DOWN_LABEL = -1
 
 
-def _validate_masks(topology: Topology, site_up: np.ndarray, link_up: np.ndarray) -> None:
+def _as_masks(topology: Topology, site_up, link_up) -> tuple:
+    """Validated boolean ``(site_up, link_up)`` masks for ``topology``."""
+    site_up = np.asarray(site_up, dtype=bool)
+    link_up = np.asarray(link_up, dtype=bool)
     if site_up.shape != (topology.n_sites,):
         raise TopologyError(
             f"site_up must have shape ({topology.n_sites},), got {site_up.shape}"
@@ -59,6 +61,7 @@ def _validate_masks(topology: Topology, site_up: np.ndarray, link_up: np.ndarray
         raise TopologyError(
             f"link_up must have shape ({topology.n_links},), got {link_up.shape}"
         )
+    return site_up, link_up
 
 
 #: Link count above which the scipy.csgraph backend beats union-find.
@@ -95,17 +98,14 @@ def component_labels(
         Component ids are consistent within one call but carry no meaning
         across calls.
 
-    Dispatches between the pure-Python union-find (sparse networks — the
-    simulator's per-event hot path on the paper's ring topologies) and
-    the scipy.sparse.csgraph backend (dense networks) on link count; both
-    honour the same label contract and are cross-checked in the tests.
+    Dispatches between :func:`components_unionfind` (sparse networks —
+    the paper's ring topologies) and the scipy.sparse.csgraph backend
+    (dense networks) on link count; both honour the same label contract
+    and are cross-checked in the tests.
     """
-    site_up = np.asarray(site_up, dtype=bool)
-    link_up = np.asarray(link_up, dtype=bool)
-    _validate_masks(topology, site_up, link_up)
     if topology.n_links <= CSGRAPH_THRESHOLD:
-        return _labels_unionfind(topology, site_up, link_up)
-    return _labels_csgraph(topology, site_up, link_up)
+        return components_unionfind(topology, site_up, link_up)
+    return _labels_csgraph(topology, *_as_masks(topology, site_up, link_up))
 
 
 def _labels_csgraph(
@@ -131,11 +131,17 @@ def _labels_csgraph(
     return labels
 
 
-def _labels_unionfind(
+def components_unionfind(
     topology: Topology,
     site_up: np.ndarray,
     link_up: np.ndarray,
 ) -> np.ndarray:
+    """Union-find implementation of :func:`component_labels`.
+
+    Returns labels with the same contract (consecutive ids over up sites
+    in ascending site order, ``-1`` for down sites).
+    """
+    site_up, link_up = _as_masks(topology, site_up, link_up)
     n = topology.n_sites
     u, v = topology.link_endpoint_arrays()
     usable = link_up & site_up[u] & site_up[v]
@@ -193,8 +199,7 @@ def batched_component_labels(
         int64 labels of shape ``(B, n_sites)``. Up sites carry component
         ids that are unique across the WHOLE batch (``0..K-1`` over all
         states, *not* compacted per state); down sites get
-        :data:`DOWN_LABEL`. Feed directly into
-        :func:`batched_component_vote_totals`.
+        :data:`DOWN_LABEL`.
     """
     site_masks = np.asarray(site_masks, dtype=bool)
     link_masks = np.asarray(link_masks, dtype=bool)
@@ -247,10 +252,10 @@ def batched_vote_totals(
 ) -> np.ndarray:
     """Fused masks → per-site component vote totals for B states.
 
-    Equivalent to :func:`batched_component_labels` followed by
-    :func:`batched_component_vote_totals`, but skips the per-state label
-    compaction entirely — the Monte-Carlo density estimator only needs
-    totals, and compaction is the most expensive non-compiled step.
+    Equivalent to :func:`batched_component_labels` followed by a
+    per-component vote sum, but skips the per-state label compaction
+    entirely — the Monte-Carlo density estimator only needs totals, and
+    compaction is the most expensive non-compiled step.
     """
     site_masks = np.asarray(site_masks, dtype=bool)
     link_masks = np.asarray(link_masks, dtype=bool)
@@ -273,36 +278,6 @@ def batched_vote_totals(
     )
     totals = np.where(up, sums[raw], 0.0).astype(np.int64)
     return totals.reshape(B, n)
-
-
-def batched_component_vote_totals(
-    labels: np.ndarray,
-    votes: np.ndarray,
-) -> np.ndarray:
-    """Per-site component vote totals for a batch of labelled states.
-
-    ``labels`` is the ``(B, n_sites)`` output of
-    :func:`batched_component_labels` (batch-global component ids); the
-    result has the same shape, with down sites at 0 votes. One
-    ``bincount`` covers every component of every state.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    votes = np.asarray(votes, dtype=np.int64)
-    if labels.ndim != 2 or labels.shape[1] != votes.shape[0]:
-        raise TopologyError(
-            f"labels shape {labels.shape} incompatible with votes shape {votes.shape}"
-        )
-    B, n = labels.shape
-    flat = labels.ravel()
-    up = flat >= 0
-    out = np.zeros(B * n, dtype=np.int64)
-    if up.any():
-        k = int(flat.max()) + 1
-        sums = np.bincount(
-            flat[up], weights=np.tile(votes, B)[up].astype(np.float64), minlength=k
-        )
-        out[up] = sums[flat[up]].astype(np.int64)
-    return out.reshape(B, n)
 
 
 def batched_component_entries(labels: np.ndarray) -> tuple:
@@ -348,118 +323,6 @@ def gather_groups(
     # Multi-arange: block i covers lo[i] .. hi[i]-1 of the sorted index.
     idx = np.repeat(hi - np.cumsum(lens), lens) + np.arange(total)
     return entries[idx]
-
-
-def minlabel_component_labels(
-    topology: Topology,
-    site_up: np.ndarray,
-    link_up: np.ndarray,
-) -> np.ndarray:
-    """Dependency-free labeller: iterated min-propagation + pointer jumping.
-
-    Every up site starts labelled with its own index; each sweep pulls
-    the minimum neighbouring label across every usable link and then
-    pointer-jumps (``lab = lab[lab]``), so convergence takes
-    ``O(log n_sites)`` sweeps with no sparse-matrix construction and no
-    Python-level loop over edges. Honours the exact
-    :func:`component_labels` contract — consecutive component ids from 0
-    over up sites in first-seen order, :data:`DOWN_LABEL` for down sites
-    — because a component's representative is its minimum site index,
-    and scanning sites in ascending order first meets each component at
-    that minimum. Cross-checked against both backends in the property
-    suite; this was the candidate per-state labeller for the compiled
-    enumeration backend (the collapse-DFS kernel won — see DESIGN.md
-    §15) and stays as an independent witness.
-    """
-    site_up = np.asarray(site_up, dtype=bool)
-    link_up = np.asarray(link_up, dtype=bool)
-    _validate_masks(topology, site_up, link_up)
-
-    n = topology.n_sites
-    u, v = topology.link_endpoint_arrays()
-    usable = link_up & site_up[u] & site_up[v]
-    uu, vv = u[usable], v[usable]
-
-    # lab[i] points at the smallest site index known reachable from i;
-    # down sites park on the sentinel n (lab_ext[n] = n stays fixed).
-    lab = np.arange(n + 1, dtype=np.int64)
-    lab[:n][~site_up] = n
-    while True:
-        prev = lab.copy()
-        if uu.size:
-            np.minimum.at(lab, uu, lab[vv])
-            np.minimum.at(lab, vv, lab[uu])
-        lab[:n] = lab[lab[:n]]  # pointer jump
-        if np.array_equal(lab, prev):
-            break
-
-    labels = np.full(n, DOWN_LABEL, dtype=np.int64)
-    up_idx = np.nonzero(site_up)[0]
-    # Roots are component-minimum site ids, so ascending root order is
-    # exactly first-seen order over an ascending site scan.
-    _, compact = np.unique(lab[up_idx], return_inverse=True)
-    labels[up_idx] = compact
-    return labels
-
-
-class _UnionFind:
-    """Weighted quick-union with path halving."""
-
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int) -> None:
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]  # path halving
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-
-
-def components_unionfind(
-    topology: Topology,
-    site_up: np.ndarray,
-    link_up: np.ndarray,
-) -> np.ndarray:
-    """Reference union-find implementation of :func:`component_labels`.
-
-    Returns labels with the same contract (consecutive ids over up sites,
-    ``-1`` for down sites). Exists to cross-check the vectorized backend.
-    """
-    site_up = np.asarray(site_up, dtype=bool)
-    link_up = np.asarray(link_up, dtype=bool)
-    _validate_masks(topology, site_up, link_up)
-
-    n = topology.n_sites
-    uf = _UnionFind(n)
-    for link_id, link in enumerate(topology.links):
-        if link_up[link_id] and site_up[link.a] and site_up[link.b]:
-            uf.union(link.a, link.b)
-
-    labels = np.full(n, DOWN_LABEL, dtype=np.int64)
-    next_label = 0
-    root_to_label: Dict[int, int] = {}
-    for site in range(n):
-        if not site_up[site]:
-            continue
-        root = uf.find(site)
-        if root not in root_to_label:
-            root_to_label[root] = next_label
-            next_label += 1
-        labels[site] = root_to_label[root]
-    return labels
 
 
 def component_vote_totals(

@@ -24,7 +24,6 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.analytic import closed_form_density
-from repro.analytic import compiled as _compiled
 from repro.analytic.enumeration import (
     MAX_COMPONENTS,
     MAX_COMPONENTS_COMPILED,
@@ -149,8 +148,8 @@ def enumeration_engine(case: VerificationCase) -> Optional[ModelEngine]:
     """Exhaustive state enumeration (exact); ``None`` beyond the cap.
 
     Pins the ``reference`` backend: this engine is the
-    exact-floating-point-order witness the compiled/vectorized backends
-    are differentially compared against, so it must never silently pick
+    exact-floating-point-order witness the vectorized backend is
+    differentially compared against, so it must never silently pick
     up a regrouped kernel. For the bus family, only the real (voting)
     sites' rows enter the model — the zero-vote hub submits no accesses.
     """
@@ -164,25 +163,18 @@ def enumeration_engine(case: VerificationCase) -> Optional[ModelEngine]:
     return ModelEngine("enumeration", model)
 
 
-def _active_compiled_backend() -> str:
-    """The enumeration backend ``enum-compiled`` will actually run."""
-    return "compiled" if _compiled.jit_available() else "vectorized"
-
-
 def enum_compiled_engine(case: VerificationCase) -> Optional[ModelEngine]:
     """Enumeration through the fast backend (exact); ``None`` past 2^28.
 
-    Resolves to the numba JIT union-find kernel when numba is installed
-    and the dependency-free vectorized collapse-DFS otherwise, exactly
-    like ``backend='auto'``. Crossed against ``enumeration`` in ``repro
-    verify`` at the ≤1e-12 differential tier (bitwise when the JIT
-    kernel is active — it preserves the reference operation order).
+    Runs the vectorized collapse-DFS, exactly like ``backend='auto'``.
+    Crossed against ``enumeration`` in ``repro verify`` at the ≤1e-12
+    differential tier.
     """
     if _case_free_components(case) > MAX_COMPONENTS_COMPILED:
         return None
     matrix = enumerate_density_matrix(
         case.topology(), case.site_reliabilities(), case.link_reliabilities(),
-        backend=_active_compiled_backend(),
+        backend="vectorized",
     )
     model = AvailabilityModel.from_density_matrix(matrix[: case.n_sites])
     return ModelEngine("enum-compiled", model)
@@ -320,8 +312,7 @@ def _no_sim_error(case: VerificationCase):
 # Sharded multi-item engines
 # ----------------------------------------------------------------------
 
-def sharded_engine_run(config, n_workers: int = 1, chunk_size=None,
-                       transport=None):
+def sharded_engine_run(config, n_workers: int = 1, chunk_size=None):
     """Run a :class:`~repro.sharding.config.ShardConfig` campaign.
 
     Unlike the case-based simulation engines, the sharded builders take
@@ -332,16 +323,15 @@ def sharded_engine_run(config, n_workers: int = 1, chunk_size=None,
     from repro.sharding.runner import run_sharded
 
     return run_sharded(config, engine="vectorized", n_workers=n_workers,
-                       chunk_size=chunk_size, transport=transport)
+                       chunk_size=chunk_size)
 
 
-def sharded_reference_run(config, n_workers: int = 1, chunk_size=None,
-                          transport=None):
+def sharded_reference_run(config, n_workers: int = 1, chunk_size=None):
     """The retained per-item ``multidb`` loop (the bitwise oracle)."""
     from repro.sharding.runner import run_sharded
 
     return run_sharded(config, engine="reference", n_workers=n_workers,
-                       chunk_size=chunk_size, transport=transport)
+                       chunk_size=chunk_size)
 
 
 # ----------------------------------------------------------------------
@@ -485,21 +475,15 @@ def register_builtin_engines(replace: bool = False) -> None:
         EngineSpec(
             name="enum-compiled",
             kind=KIND_MODEL,
-            description="Exhaustive enumeration through the compiled "
-                        "backend layer: numba JIT union-find kernel when "
-                        "installed, dependency-free vectorized collapse-DFS "
-                        f"otherwise; exact up to {MAX_COMPONENTS_COMPILED} "
-                        "free components",
-            capabilities=frozenset(
-                {"exact", "bounded-states", "compiled"}
-                | ({"jit"} if _compiled.jit_available() else set())
-            ),
+            description="Exhaustive enumeration through the vectorized "
+                        "collapse-DFS backend; exact up to "
+                        f"{MAX_COMPONENTS_COMPILED} free components",
+            capabilities=frozenset({"exact", "bounded-states", "compiled"}),
             cost_hint=f"O(2^m) states, ~100x the reference kernel; "
                       f"applies while m <= {MAX_COMPONENTS_COMPILED}",
             cost_rank=1,
             builder=enum_compiled_engine,
-            backend="numba-jit" if _compiled.jit_available()
-                    else "numpy-vectorized",
+            backend="numpy-vectorized",
         ),
         EngineSpec(
             name="monte-carlo",

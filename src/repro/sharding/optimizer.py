@@ -160,10 +160,10 @@ def _group_density(
     if engine == "enumeration":
         from repro.analytic.enumeration import enumerate_density_matrix
 
-        # Pinned to the reference backend: these densities feed golden
-        # corpus entries and the bitwise sharded|multidb-reference pair,
-        # so they must not move with whatever REPRO_ENUM_BACKEND (or a
-        # numba install) makes the ambient default resolve to.
+        # Pinned to the exact-order reference backend: these densities
+        # feed golden corpus entries and the bitwise
+        # sharded|multidb-reference pair, so they must not take the
+        # regrouped ``vectorized`` default.
         return enumerate_density_matrix(
             revoted,
             np.full(topology.n_sites, p),

@@ -6,7 +6,7 @@
 1. **Cross-engine pairs** — for each case, every pair of applicable
    engines is compared metric-by-metric with CI-aware tolerances. The
    model-producing engines (closed form, reference-order enumeration,
-   the compiled/vectorized ``enum-compiled`` backend, plain Monte-Carlo,
+   the vectorized ``enum-compiled`` backend, plain Monte-Carlo,
    and the variance-reduced ``mc-stratified``/``mc-importance``
    variants) are resolved through the :mod:`repro.engines` registry and
    crossed all-pairs; on top of that ride closed-form vs simulation (ACC
@@ -52,9 +52,9 @@ MODEL_ENGINES = (
 )
 
 #: Tighter absolute floors for specific exact-vs-exact pairs. The
-#: compiled/vectorized enumeration backends must agree with the
-#: reference-order enumeration engine to ≤1e-12 (DESIGN.md §15) — far
-#: below the default exact floor the statistical engines share.
+#: vectorized enumeration backend must agree with the reference-order
+#: enumeration engine to ≤1e-12 (DESIGN.md §15) — far below the default
+#: exact floor the statistical engines share.
 _PAIR_FLOORS = {
     frozenset({"enumeration", "enum-compiled"}): 1e-12,
 }

@@ -1,32 +1,19 @@
-"""The compiled enumeration backend layer (DESIGN.md §15).
+"""The vectorized enumeration backend and backend selection (DESIGN.md §15).
 
-Three equality tiers, all green without numba installed:
-
-- the pure-Python twin of the numba union-find chunk kernel is
-  **bitwise** identical to the reference loop (it preserves the
-  reference floating-point operation order; the JIT build compiles the
-  same function body, so these tests pin the contract the JIT inherits);
 - the vectorized collapse-DFS agrees with the reference to well inside
   the ≤1e-12 differential tier and is deterministic;
-- the ``backend=`` kwarg / ``REPRO_ENUM_BACKEND`` knob routes to the
-  right kernel, and the cap errors name the component count, the active
-  backend, and the knob that raises the limit.
-
-JIT-specific tests skip cleanly when numba is absent and run on the CI
-leg that installs the ``[compiled]`` extra.
+- the ``backend=`` kwarg routes to the right kernel, and the cap errors
+  name the component count, the active backend, and the backend that
+  raises the limit.
 """
 
 import numpy as np
 import pytest
 
 from repro.analytic import cache as density_cache
-from repro.analytic import compiled
 from repro.analytic.enumeration import (
-    ENV_BACKEND,
     MAX_COMPONENTS,
     MAX_COMPONENTS_COMPILED,
-    _as_reliability_vector,
-    _free_components,
     enumerate_density,
     enumerate_density_matrix,
     enumerate_density_matrix_reference,
@@ -35,22 +22,11 @@ from repro.analytic.enumeration import (
 from repro.errors import DensityError
 from repro.topology.generators import bus, fully_connected, ring, star
 
-needs_numba = pytest.mark.skipif(
-    not compiled.HAVE_NUMBA, reason="numba not installed ([compiled] extra)"
-)
-
 
 @pytest.fixture(autouse=True)
 def _no_cache():
     with density_cache.disabled():
         yield
-
-
-def _case_arrays(topo, p, r):
-    site_rel = _as_reliability_vector(p, topo.n_sites, "site reliability")
-    link_rel = _as_reliability_vector(r, topo.n_links, "link reliability")
-    free_sites, free_links, n_free = _free_components(topo, site_rel, link_rel)
-    return site_rel, link_rel, free_sites, free_links, n_free
 
 
 def _bus_case(n_sites, p, r):
@@ -66,63 +42,6 @@ CASES = [
     pytest.param(fully_connected(4), 0.9, 0.6, id="complete4"),
     pytest.param(ring(4, votes=[2, 1, 1, 3]), 0.85, 0.75, id="ring4-weighted"),
 ]
-
-
-class TestUnionFindTwin:
-    """The chunk kernel's pure-Python build, bitwise vs the reference."""
-
-    @pytest.mark.parametrize("topo,p,r", CASES)
-    def test_bitwise_vs_reference(self, topo, p, r):
-        ref = enumerate_density_matrix_reference(topo, p, r)
-        site_rel, link_rel, fs, fl, nf = _case_arrays(topo, p, r)
-        out = compiled.enumerate_compiled(
-            topo, site_rel, link_rel, fs, fl, nf,
-            chunk_size=97, site=None, use_jit=False,
-        )
-        assert np.array_equal(ref, out)
-
-    def test_pinned_components_bitwise(self):
-        topo = star(6, hub=0)
-        p = np.array([1.0, 0.9, 0.0, 0.8, 1.0, 0.7])
-        ref = enumerate_density_matrix_reference(topo, p, 0.85)
-        site_rel, link_rel, fs, fl, nf = _case_arrays(topo, p, 0.85)
-        out = compiled.enumerate_compiled(
-            topo, site_rel, link_rel, fs, fl, nf,
-            chunk_size=64, site=None, use_jit=False,
-        )
-        assert np.array_equal(ref, out)
-
-    def test_bus_star_pinned_bitwise(self):
-        topo, site_rel, link_rel = _bus_case(6, 0.9, 0.8)
-        ref = enumerate_density_matrix_reference(topo, site_rel, link_rel)
-        sr, lr, fs, fl, nf = _case_arrays(topo, site_rel, link_rel)
-        out = compiled.enumerate_compiled(
-            topo, sr, lr, fs, fl, nf, chunk_size=1000, site=None,
-            use_jit=False,
-        )
-        assert np.array_equal(ref, out)
-
-    @pytest.mark.parametrize("chunk_size", [1, 3, 64, 100_000])
-    def test_chunk_size_never_changes_bits(self, chunk_size):
-        topo = ring(5)
-        ref = enumerate_density_matrix_reference(topo, 0.9, 0.8)
-        site_rel, link_rel, fs, fl, nf = _case_arrays(topo, 0.9, 0.8)
-        out = compiled.enumerate_compiled(
-            topo, site_rel, link_rel, fs, fl, nf,
-            chunk_size=chunk_size, site=None, use_jit=False,
-        )
-        assert np.array_equal(ref, out)
-
-    def test_single_row_bitwise(self):
-        topo = ring(5)
-        ref = enumerate_density_matrix_reference(topo, 0.9, 0.8)
-        site_rel, link_rel, fs, fl, nf = _case_arrays(topo, 0.9, 0.8)
-        for site in range(topo.n_sites):
-            row = compiled.enumerate_compiled(
-                topo, site_rel, link_rel, fs, fl, nf,
-                chunk_size=128, site=site, use_jit=False,
-            )
-            assert np.array_equal(ref[site], row)
 
 
 class TestVectorizedCollapseDFS:
@@ -188,10 +107,9 @@ class TestVectorizedCollapseDFS:
 
 
 class TestBackendSelection:
-    def test_auto_resolves_by_numba_availability(self):
-        expected = "compiled" if compiled.jit_available() else "vectorized"
-        assert resolve_backend(None) in (expected,)
-        assert resolve_backend("auto") == expected
+    def test_auto_resolves_to_vectorized(self):
+        assert resolve_backend(None) == "vectorized"
+        assert resolve_backend("auto") == "vectorized"
 
     def test_explicit_names_resolve_to_themselves(self):
         assert resolve_backend("reference") == "reference"
@@ -200,28 +118,7 @@ class TestBackendSelection:
     def test_unknown_backend_is_an_error(self):
         with pytest.raises(DensityError, match="unknown enumeration backend"):
             enumerate_density_matrix(ring(4), 0.9, 0.9, backend="fortran")
-
-    def test_env_knob_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(ENV_BACKEND, "reference")
-        ref = enumerate_density_matrix_reference(ring(5), 0.9, 0.8)
-        out = enumerate_density_matrix(ring(5), 0.9, 0.8)
-        assert np.array_equal(ref, out)
-
-    def test_env_knob_invalid_value_is_an_error(self, monkeypatch):
-        monkeypatch.setenv(ENV_BACKEND, "gpu")
         with pytest.raises(DensityError, match="unknown enumeration backend"):
-            enumerate_density_matrix(ring(4), 0.9, 0.9)
-
-    def test_kwarg_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_BACKEND, "gpu")  # bad env must not matter
-        ref = enumerate_density_matrix_reference(ring(4), 0.8, 0.7)
-        out = enumerate_density_matrix(ring(4), 0.8, 0.7, backend="reference")
-        assert np.array_equal(ref, out)
-
-    @pytest.mark.skipif(compiled.HAVE_NUMBA,
-                        reason="numba installed; request cannot fail")
-    def test_compiled_without_numba_names_the_remedy(self):
-        with pytest.raises(DensityError, match="numba"):
             enumerate_density_matrix(ring(4), 0.9, 0.9, backend="compiled")
 
     def test_cap_error_names_count_backend_and_knob(self):
@@ -231,7 +128,7 @@ class TestBackendSelection:
         assert "26 fallible components" in message
         assert f"{MAX_COMPONENTS}-component" in message
         assert "'reference' backend" in message
-        assert ENV_BACKEND in message
+        assert "backend='vectorized'" in message
         assert str(MAX_COMPONENTS_COMPILED) in message
 
     def test_cap_error_past_the_compiled_cap(self):
@@ -250,30 +147,3 @@ class TestBackendSelection:
         exact = enumeration_key(topo, rel, rel, None)
         regrouped = enumeration_key(topo, rel, rel, None, numerics="regrouped")
         assert exact != regrouped
-
-
-@needs_numba
-class TestJitKernel:
-    """Exercised on the CI leg that installs the [compiled] extra."""
-
-    @pytest.mark.parametrize("topo,p,r", CASES)
-    def test_jit_bitwise_vs_reference(self, topo, p, r):
-        ref = enumerate_density_matrix_reference(topo, p, r)
-        out = enumerate_density_matrix(topo, p, r, backend="compiled")
-        assert np.array_equal(ref, out)
-
-    def test_jit_matches_python_twin_bitwise(self):
-        topo = ring(6)
-        site_rel, link_rel, fs, fl, nf = _case_arrays(topo, 0.9, 0.8)
-        jit = compiled.enumerate_compiled(
-            topo, site_rel, link_rel, fs, fl, nf,
-            chunk_size=256, site=None, use_jit=True,
-        )
-        twin = compiled.enumerate_compiled(
-            topo, site_rel, link_rel, fs, fl, nf,
-            chunk_size=256, site=None, use_jit=False,
-        )
-        assert np.array_equal(jit, twin)
-
-    def test_auto_prefers_jit(self):
-        assert resolve_backend("auto") == "compiled"

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.connectivity.components import (
+    CSGRAPH_THRESHOLD,
     DOWN_LABEL,
+    _labels_csgraph,
     component_labels,
     component_members,
     component_vote_totals,
@@ -79,14 +81,23 @@ class TestBackendAgreement:
         topo = fully_connected(9)
         site_up = rng.random(topo.n_sites) < 0.7
         link_up = rng.random(topo.n_links) < 0.5
+        a = _labels_csgraph(topo, site_up, link_up)
+        b = components_unionfind(topo, site_up, link_up)
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_component_labels_above_threshold_takes_csgraph(self, seed):
+        # fully_connected(60) has 1,770 links: component_labels dispatches
+        # to csgraph there, and must still match the union-find exactly.
+        rng = np.random.default_rng(seed)
+        topo = fully_connected(60)
+        assert topo.n_links > CSGRAPH_THRESHOLD
+        site_up = rng.random(topo.n_sites) < 0.7
+        link_up = rng.random(topo.n_links) < 0.02
         a = component_labels(topo, site_up, link_up)
         b = components_unionfind(topo, site_up, link_up)
-        # Labels must induce the same partition (ids may differ).
-        assert (a == DOWN_LABEL).tolist() == (b == DOWN_LABEL).tolist()
-        for i in range(topo.n_sites):
-            for j in range(topo.n_sites):
-                if a[i] >= 0 and a[j] >= 0:
-                    assert (a[i] == a[j]) == (b[i] == b[j])
+        assert np.array_equal(a, b)
+        assert np.array_equal(a, _labels_csgraph(topo, site_up, link_up))
 
 
 class TestVoteTotals:

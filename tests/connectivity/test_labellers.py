@@ -1,16 +1,12 @@
-"""Property tests: the alternative labellers vs ``component_labels``.
+"""Property tests: the two static labelling backends agree exactly.
 
-``component_labels`` (scipy csgraph under the hood) is the oracle. The
-two alternatives must reproduce its exact output — same compact
-first-seen component ids, same ``-1`` down sentinel — over arbitrary
-topologies and up/down masks:
-
-- ``components_unionfind`` — the pointer-chasing weighted quick-union
-  used as the reference implementation inside the enumeration kernels;
-- ``minlabel_component_labels`` — the pointer-jumping min-propagation
-  labeller (the algorithm the vectorized enumeration backend descends
-  from), whose roots are component-minimum site ids and therefore
-  compact to the same first-seen order.
+``component_labels`` dispatches on link count between
+``components_unionfind`` (sparse graphs) and the scipy.csgraph backend
+``_labels_csgraph`` (dense graphs). Both must produce the same output —
+same compact first-seen component ids, same ``-1`` down sentinel — over
+arbitrary topologies and up/down masks. The small graphs drawn here all
+sit below the dispatch threshold, so the csgraph backend is called
+directly as the oracle rather than through ``component_labels``.
 
 Hypothesis drives random graphs (random edge subsets over the complete
 graph, plus the named generator families) with random site/link masks.
@@ -21,14 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.connectivity.components import (
+    _labels_csgraph,
     component_labels,
     components_unionfind,
-    minlabel_component_labels,
 )
 from repro.topology.generators import erdos_renyi, fully_connected, ring, star
 from repro.topology.model import Topology
 
-LABELLERS = (components_unionfind, minlabel_component_labels)
+LABELLERS = (components_unionfind, component_labels)
 
 
 @st.composite
@@ -79,25 +75,25 @@ def topology_with_masks(draw, topologies):
 @given(topology_with_masks(random_topologies()))
 def test_labellers_agree_on_random_graphs(case):
     topo, site_up, link_up = case
-    oracle = component_labels(topo, site_up, link_up)
+    oracle = _labels_csgraph(topo, site_up, link_up)
     for labeller in LABELLERS:
-        np.testing.assert_array_equal(labeller(topo, site_up, link_up), oracle)
+        assert np.array_equal(labeller(topo, site_up, link_up), oracle)
 
 
 @settings(max_examples=100, deadline=None)
 @given(topology_with_masks(family_topologies()))
 def test_labellers_agree_on_generator_families(case):
     topo, site_up, link_up = case
-    oracle = component_labels(topo, site_up, link_up)
+    oracle = _labels_csgraph(topo, site_up, link_up)
     for labeller in LABELLERS:
-        np.testing.assert_array_equal(labeller(topo, site_up, link_up), oracle)
+        assert np.array_equal(labeller(topo, site_up, link_up), oracle)
 
 
 @given(topology_with_masks(random_topologies()))
 def test_labels_are_compact_first_seen(case):
-    # The shared contract all three labellers promise to consumers.
+    # The shared contract both backends promise to consumers.
     topo, site_up, link_up = case
-    labels = minlabel_component_labels(topo, site_up, link_up)
+    labels = components_unionfind(topo, site_up, link_up)
     up = labels[labels >= 0]
     if up.size:
         # ids are 0..k-1 and first occurrences appear in increasing order
@@ -111,16 +107,14 @@ def test_all_sites_down():
     topo = ring(5)
     down = np.zeros(5, dtype=bool)
     links = np.ones(topo.n_links, dtype=bool)
-    oracle = component_labels(topo, down, links)
+    oracle = _labels_csgraph(topo, down, links)
     for labeller in LABELLERS:
-        np.testing.assert_array_equal(labeller(topo, down, links), oracle)
+        assert np.array_equal(labeller(topo, down, links), oracle)
 
 
 def test_all_links_down_each_site_is_its_own_component():
     topo = fully_connected(6)
     sites = np.ones(6, dtype=bool)
     links = np.zeros(topo.n_links, dtype=bool)
-    for labeller in LABELLERS:
-        np.testing.assert_array_equal(
-            labeller(topo, sites, links), np.arange(6)
-        )
+    for labeller in (_labels_csgraph,) + LABELLERS:
+        assert np.array_equal(labeller(topo, sites, links), np.arange(6))
