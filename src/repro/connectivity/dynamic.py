@@ -3,31 +3,29 @@
 The discrete-event simulator flips one site or link per failure/recovery
 event and then needs, possibly many times before the next flip, the vector
 of per-site component vote totals. :class:`ComponentTracker` caches that
-vector and invalidates it on mutation, so component maintenance runs
-exactly once per network change regardless of how many accesses land in
-the interval.
+vector and maintains it incrementally (DESIGN.md §8) from the short
+journal of recent flips that :class:`NetworkState` keeps:
 
-Maintenance is *incremental* (DESIGN.md §8): :class:`NetworkState` keeps a
-short journal of recent single-component flips, and the tracker consumes
-it instead of relabelling the whole graph:
+- a **recovery** can only *merge* components: a vectorized label rewrite;
+- a **failure** can only *split* the failed element's component. Even &
+  Shiloach's interleaved search ("An On-Line Edge-Deletion Problem",
+  JACM 1981) runs inside it from both ends of a failed link, or from a
+  failed site's neighbours, one incident link per search in turn.
+  Searches that meet merge; once one is left nothing (more) split, which
+  on a dense graph takes about one neighbour scan. A search that runs
+  out first found a side the rest cannot reach: only that side gets a
+  fresh label, and its votes leave the rest's total;
+- anything else (bulk mutations, a stale journal, a new tracker) falls
+  back to the full :func:`~repro.connectivity.components.component_labels`
+  recompute, which doubles as the oracle (``audit_interval``).
 
-- a **recovery** event (site or link comes up) can only *merge*
-  components — the tracker unions the affected components with a
-  vectorized label rewrite, never touching the edge list;
-- a **failure** event can only *split* the component containing the
-  failed element — the tracker relabels just that component's induced
-  subgraph (a union-find over its usable links), leaving every other
-  component's labels and totals untouched;
-- anything else — bulk mutations, a stale journal, a tracker attached
-  mid-run — falls back to the full
-  :func:`~repro.connectivity.components.component_labels` recompute,
-  which doubles as the correctness oracle (``audit_interval`` cross-checks
-  the incremental state against it periodically).
-
-Labels stay on the documented contract (consecutive ids ``0..k-1`` over
-up sites, ``-1`` for down sites): every incremental step ends with an
-O(n) vectorized compaction, which is cheap next to the O(n + m)
-edge scan it replaces.
+One refresh may replay several entries while ``state.site_up`` and
+``state.link_up`` already show the *last* one, so every incremental step
+reads step-time state: site liveness from the tracker's own labels, links
+from its own mask (copied on a full recompute, set as each entry replays).
+Labels stay consecutive ``0..k-1`` over up sites (``-1`` for down ones):
+a refresh that changed anything compacts fresh copies in O(n); one that
+changed nothing (a failure that split nothing) keeps the previous arrays.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ __all__ = ["NetworkState", "ComponentTracker", "NetworkChange"]
 JOURNAL_LIMIT = 64
 
 #: Pending-change count above which one full relabel beats replaying the
-#: journal (each replayed failure may touch a whole component; scripted
+#: journal (each replayed failure may search most of a component; scripted
 #: partitions flip dozens of links at a single instant).
 INCREMENTAL_LIMIT = 4
 
@@ -170,8 +168,8 @@ class ComponentTracker:
     All getters refresh lazily when the underlying state's version has
     moved; between network changes they are O(1). The refresh consumes
     the state's mutation journal incrementally (merge on recovery,
-    induced-subgraph relabel on failure) and falls back to the full
-    recompute when the journal cannot bridge the gap.
+    split search on failure) and falls back to the full recompute when
+    the journal cannot bridge the gap.
 
     ``votes`` overrides the topology's vote vector — several trackers
     with different vote vectors (one per replicated item) can share one
@@ -186,7 +184,7 @@ class ComponentTracker:
 
     __slots__ = (
         "state", "votes", "_cached_version", "_labels", "_vote_totals",
-        "_incident", "_next_label", "audit_interval",
+        "_incident", "_link_up", "_copied", "_next_label", "audit_interval",
         "n_incremental", "n_full", "_audit_countdown",
     )
 
@@ -209,6 +207,9 @@ class ComponentTracker:
         self._vote_totals: Optional[np.ndarray] = None
         #: Per-site incident links as ``[(link_id, other_endpoint), ...]``.
         self._incident: Optional[List[List[Tuple[int, int]]]] = None
+        #: Step-time link mask (see module doc); set by a full recompute.
+        self._link_up: List[bool] = []
+        self._copied = False  # this refresh already copied the last arrays
         self._next_label = 0
         self.audit_interval = int(audit_interval)
         self._audit_countdown = self.audit_interval
@@ -223,21 +224,16 @@ class ComponentTracker:
         state = self.state
         if self._cached_version == state.version:
             return
-        changes = (
-            state.changes_since(self._cached_version)
-            if self._labels is not None
-            else None
-        )
+        changes = (None if self._labels is None
+                   else state.changes_since(self._cached_version))
         if changes is None or len(changes) > INCREMENTAL_LIMIT:
             self._full_recompute()
         else:
-            # Copy-on-write: callers may hold references to the previously
-            # returned arrays, so never mutate them in place.
-            self._labels = self._labels.copy()
-            self._vote_totals = self._vote_totals.copy()
+            self._copied = False
             for change in changes:
                 self._apply_change(change)
-            self._compact_labels()
+            if self._copied:
+                self._compact_labels()
             self.n_incremental += 1
             if self.audit_interval > 0:
                 self._audit_countdown -= 1
@@ -252,6 +248,7 @@ class ComponentTracker:
         self._vote_totals = component_vote_totals(self._labels, self.votes)
         up = self._labels >= 0
         self._next_label = int(self._labels.max()) + 1 if up.any() else 0
+        self._link_up = self.state.link_up.tolist()
         self.n_full += 1
 
     def _audit(self) -> None:
@@ -259,19 +256,12 @@ class ComponentTracker:
         topo = self.state.topology
         oracle_labels = component_labels(topo, self.state.site_up, self.state.link_up)
         oracle_totals = component_vote_totals(oracle_labels, self.votes)
-        assert self._labels is not None and self._vote_totals is not None
-        same_down = np.array_equal(self._labels < 0, oracle_labels < 0)
-        # Partitions agree iff the label pairing is a bijection.
-        up = oracle_labels >= 0
-        pairs = np.unique(
-            np.stack([self._labels[up], oracle_labels[up]]), axis=1
-        ).shape[1] if up.any() else 0
-        ours = np.unique(self._labels[up]).size if up.any() else 0
-        theirs = np.unique(oracle_labels[up]).size if up.any() else 0
+        ours, theirs = self._labels.tolist(), oracle_labels.tolist()
+        # Partitions agree iff down sites agree and the pairing is a bijection.
+        pairs = len(set(zip(ours, theirs)))
         if (
-            not same_down
-            or pairs != ours
-            or pairs != theirs
+            not np.array_equal(self._labels < 0, oracle_labels < 0)
+            or pairs != len(set(ours)) or pairs != len(set(theirs))
             or not np.array_equal(self._vote_totals, oracle_totals)
         ):
             raise TopologyError(
@@ -295,6 +285,8 @@ class ComponentTracker:
         return self._incident
 
     def _apply_change(self, change: NetworkChange) -> None:
+        if change.kind == "link":
+            self._link_up[change.index] = change.up
         if change.up == change.was_up:
             return  # no-op flip: version moved, structure did not
         if change.kind == "site":
@@ -305,124 +297,130 @@ class ComponentTracker:
         else:
             self._flip_link(change.index, change.up)
 
-    def _fresh_label(self) -> int:
-        label = self._next_label
-        self._next_label += 1
-        return label
+    def _writable(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Labels and totals to mutate: callers may hold the last ones."""
+        if not self._copied:
+            self._labels = self._labels.copy()
+            self._vote_totals = self._vote_totals.copy()
+            self._copied = True
+        return self._labels, self._vote_totals
 
     def _merge(self, a: int, b: int) -> None:
         """Union the components of up sites ``a`` and ``b`` (weighted)."""
-        labels = self._labels
-        totals = self._vote_totals
-        la, lb = int(labels[a]), int(labels[b])
+        la, lb = int(self._labels[a]), int(self._labels[b])
         if la < 0 or lb < 0:
-            # A detached endpoint must never reach here: ``labels == -1``
-            # matches *every* down site, so the mask rewrite below would
-            # resurrect all of them into one corrupt component. Callers
-            # gate on the tracker's own labels to make this unreachable.
+            # ``labels == -1`` matches *every* down site: the rewrite below
+            # would resurrect them all. Callers gate on step-time labels.
             raise TopologyError(
                 f"cannot merge detached site (labels {la}, {lb} for sites {a}, {b})"
             )
         if la == lb:
             return
-        mask_a = labels == la
-        mask_b = labels == lb
-        # Rewrite the smaller side's labels (weighted union).
-        if int(mask_a.sum()) < int(mask_b.sum()):
-            la, mask_a, mask_b = lb, mask_b, mask_a
-        combined_votes = int(totals[a]) + int(totals[b])
-        labels[mask_b] = la
-        totals[mask_a] = combined_votes
-        totals[mask_b] = combined_votes
+        labels, totals = self._writable()
+        if (labels == la).sum() < (labels == lb).sum():
+            la, lb = lb, la  # the larger side keeps its label
+        labels[labels == lb] = la
+        totals[labels == la] = int(totals[a]) + int(totals[b])
 
     def _attach_site(self, site: int) -> None:
         """A site came up: start it as a singleton, then merge over links.
 
-        The neighbour gate is the *tracker's* label, not ``state.site_up``:
-        the journal replays against the final mask arrays, so a neighbour
-        flipped up by a still-pending entry is already ``True`` in
-        ``site_up`` while its tracker label is still ``-1`` — merging with
-        it would go through the detached label and resurrect every down
-        site (the pending entry's own ``_attach_site`` performs the merge
-        instead, once both sides are attached).
+        Neighbours are gated on step-time labels: one that a pending entry
+        brings up is still ``-1`` here, and that entry merges it later.
         """
-        labels = self._labels
-        labels[site] = self._fresh_label()
-        self._vote_totals[site] = self.votes[site]
-        link_up = self.state.link_up
+        labels, totals = self._writable()
+        labels[site] = self._next_label
+        self._next_label += 1
+        totals[site] = self.votes[site]
+        link_up = self._link_up
         for lid, other in self._incident_links()[site]:
             if link_up[lid] and labels[other] >= 0:
                 self._merge(site, other)
 
     def _detach_site(self, site: int) -> None:
-        """A site went down: drop it and resplit its old component."""
-        labels = self._labels
+        """A site went down: drop it, then split search from its neighbours."""
+        labels, totals = self._writable()
         old = int(labels[site])
         labels[site] = DOWN_LABEL
-        self._vote_totals[site] = 0
-        members = np.nonzero(labels == old)[0]
-        if members.size:
-            self._relabel_members(members)
+        totals[labels == old] -= self.votes[site]
+        totals[site] = 0
+        link_up = self._link_up
+        self._split([other for lid, other in self._incident_links()[site]
+                     if link_up[lid] and labels[other] == old], old)
 
     def _flip_link(self, link_id: int, up: bool) -> None:
         link = self.state.topology.links[link_id]
         labels = self._labels
-        # Endpoint liveness comes from the tracker's labels, not
-        # ``state.site_up`` (see ``_attach_site``): a pending site flip is
-        # already visible in the state mask but not yet applied here.
         if labels[link.a] < 0 or labels[link.b] < 0:
             return  # a detached endpoint: the link carries no connectivity
         if up:
             self._merge(link.a, link.b)
         elif labels[link.a] == labels[link.b]:
-            members = np.nonzero(labels == labels[link.a])[0]
-            self._relabel_members(members)
+            self._split([link.a, link.b], int(labels[link.a]))
 
-    def _relabel_members(self, members: np.ndarray) -> None:
-        """Relabel one component's induced subgraph after a failure.
+    def _split(self, roots: List[int], old: int) -> None:
+        """Relabel whatever a failure cut off from component ``old``.
 
-        Runs a weighted union-find over the usable links *among
-        ``members`` only* — the rest of the network is untouched, which
-        is the whole point of the incremental path.
+        ``roots``: distinct members of ``old`` touching every piece it may
+        have split into. One depth-first search per root, one incident
+        link each in turn; searches that meet merge (smaller into larger).
+        A search that runs out has a whole piece without other roots: it
+        takes a fresh label and its votes. The last search keeps ``old``.
         """
-        labels = self._labels
-        totals = self._vote_totals
-        n = labels.shape[0]
-        in_c = np.zeros(n, dtype=bool)
-        in_c[members] = True
-        u, v = self.state.topology.link_endpoint_arrays()
-        usable = self.state.link_up & in_c[u] & in_c[v]
-        idx = np.nonzero(usable)[0]
-
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in zip(u[idx].tolist(), v[idx].tolist()):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-
-        root_label: dict = {}
-        member_list = members.tolist()
-        new_labels = np.empty(members.shape[0], dtype=np.int64)
-        for k, site in enumerate(member_list):
-            root = find(site)
-            label = root_label.get(root)
-            if label is None:
-                label = root_label[root] = self._fresh_label()
-            new_labels[k] = label
-        labels[members] = new_labels
-        # Per-subcomponent vote totals.
-        votes = self.votes[members]
-        uniq, inv = np.unique(new_labels, return_inverse=True)
-        sums = np.zeros(uniq.shape[0], dtype=np.int64)
-        np.add.at(sums, inv, votes)
-        totals[members] = sums[inv]
+        if len(roots) < 2:
+            return
+        step_labels = self._labels.tolist()
+        link_up = self._link_up
+        incident = self._incident_links()
+        owner = {root: g for g, root in enumerate(roots)}
+        seen = [[root] for root in roots]
+        stacks = [[iter(incident[root])] for root in roots]
+        cut: List[List[int]] = []
+        live = len(roots)
+        active = range(live)
+        while live > 1:
+            for g in active:
+                stack = stacks[g]
+                if not stack:
+                    continue  # merged away or cut earlier in this round
+                step = next(stack[-1], None)
+                if step is None:
+                    stack.pop()
+                    if stack:
+                        continue
+                    cut.append(seen[g])
+                else:
+                    lid, other = step
+                    h = owner.get(other)
+                    if h == g or not link_up[lid] or step_labels[other] != old:
+                        continue
+                    if h is None:
+                        owner[other] = g
+                        seen[g].append(other)
+                        stack.append(iter(incident[other]))
+                        continue
+                    if len(seen[g]) < len(seen[h]):
+                        g, h = h, g
+                    for site in seen[h]:
+                        owner[site] = g
+                    seen[g].extend(seen[h])
+                    stacks[g].extend(stacks[h])
+                    stacks[h] = []
+                live -= 1
+                if live == 1:
+                    break
+            active = [g for g in active if stacks[g]]
+        if not cut:
+            return
+        labels, totals = self._writable()
+        rest = int(totals[roots[0]])
+        for piece in cut:
+            piece_votes = int(self.votes[piece].sum())
+            labels[piece] = self._next_label
+            self._next_label += 1
+            totals[piece] = piece_votes
+            rest -= piece_votes
+        totals[labels == old] = rest
 
     def _compact_labels(self) -> None:
         """Renumber labels onto ``0..k-1`` (the documented contract)."""
